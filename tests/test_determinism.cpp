@@ -4,22 +4,37 @@
 // (--profile), and seeded fault injection (--faults 42:0.25) — and every
 // artifact either pass emits must be byte-identical: rendered reports,
 // check reports (text + JSON), profile reports (text + JSON), Chrome
-// traces, gantt/comm CSVs, and the merged fault counters.
+// traces, gantt/comm CSVs, and the fault counters.
 //
 // This is the determinism contract stated in DESIGN.md made executable:
 // a run is a pure function of (spec, seed). A deterministic *failure* is
 // still deterministic — exceptions are folded into the golden string
 // rather than aborting the pass, so both passes must throw identically
 // or not at all.
+//
+// Two passes of one binary agreeing says nothing about a change that
+// shifts a number deterministically, so each experiment's artifact bytes
+// are also hashed (FNV-1a 64) and compared by experiment id against
+// tests/goldens/registry_fingerprints.txt, which pins them across
+// commits. Every run writes the fingerprints it computed to
+// registry_fingerprints.txt in the test's build directory; to regenerate
+// the golden after an intended change, copy that file over the committed
+// one and name each changed id and why in CHANGES.md.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
+#include "core/spec.hpp"
 #include "machine/transport.hpp"
 #include "simcheck/checker.hpp"
 #include "simfault/global.hpp"
@@ -28,13 +43,20 @@
 namespace columbia {
 namespace {
 
-/// One full registry sweep with check + profile + faults enabled,
-/// concatenating every emitted artifact into a single golden string.
-std::string golden_pass() {
-  std::ostringstream os;
+/// One full registry sweep: the concatenated artifact bytes, plus one
+/// FNV-1a fingerprint of each experiment's share of them.
+struct Pass {
+  std::string bytes;
+  std::vector<std::pair<std::string, std::uint64_t>> fingerprints;
+};
+
+/// One full registry sweep with check + profile + faults enabled.
+Pass golden_pass() {
+  Pass pass;
   const auto exec = core::Exec::sequential();
   simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(42, 0.25));
   for (const auto& exp : core::experiment_registry()) {
+    std::ostringstream os;
     os << "==== " << exp.id << " ====\n";
     // Per-experiment guards: enable registers a fresh observer factory
     // each call — without the paired disable at scope exit, every World
@@ -51,17 +73,20 @@ std::string golden_pass() {
     const simprof::ProfileReport prof = simprof::drain_global_profile_report();
     const simprof::TraceArtifacts trace = simprof::drain_global_profile_trace();
     const simcheck::CheckReport check = simcheck::drain_global_check_report();
+    const simfault::FaultStats stats = simfault::drain_global_fault_stats();
 
     os << check.render() << check.to_json() << prof.render() << prof.to_json();
     if (trace.valid) {
       os << trace.chrome_json() << trace.gantt_csv() << trace.comm_csv();
     }
+    os << "faults: worlds=" << stats.worlds
+       << " dropped=" << stats.messages_dropped << " retries=" << stats.retries
+       << " lost=" << stats.messages_lost << "\n";
+    const std::string block = os.str();
+    pass.fingerprints.emplace_back(exp.id, core::fnv1a64(block));
+    pass.bytes += block;
   }
-  const simfault::FaultStats stats = simfault::drain_global_fault_stats();
-  os << "faults: worlds=" << stats.worlds
-     << " dropped=" << stats.messages_dropped << " retries=" << stats.retries
-     << " lost=" << stats.messages_lost << "\n";
-  return os.str();
+  return pass;
 }
 
 /// Context around the first differing byte — EXPECT_EQ on multi-megabyte
@@ -80,11 +105,71 @@ std::string first_divergence(const std::string& a, const std::string& b) {
   return os.str();
 }
 
+std::string hex16(std::uint64_t h) {
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, h >>= 4) out[i] = digits[h & 0xf];
+  return out;
+}
+
+/// Fingerprint file lines are "<mode> <experiment id> <fnv1a64 hex>",
+/// keyed here by "<mode> <id>".
+using Fingerprints = std::map<std::string, std::string>;
+
+Fingerprints read_fingerprints(const std::string& path) {
+  Fingerprints out;
+  std::ifstream in(path);
+  std::string mode;
+  std::string id;
+  std::string hash;
+  while (in >> mode >> id >> hash) out[mode + " " + id] = hash;
+  return out;
+}
+
+/// Records `mode`'s fingerprints in the build directory's copy of the
+/// golden file (other modes keep their committed lines, so the file is
+/// complete even when one test runs alone), then compares them by
+/// experiment id against the committed golden.
+void check_fingerprints(const std::string& mode, const Pass& pass) {
+  const Fingerprints golden = read_fingerprints(COLUMBIA_GOLDEN_FINGERPRINTS);
+  Fingerprints computed = read_fingerprints(COLUMBIA_COMPUTED_FINGERPRINTS);
+  if (computed.empty()) computed = golden;
+  const std::string prefix = mode + " ";
+  for (auto it = computed.begin(); it != computed.end();) {
+    it = it->first.rfind(prefix, 0) == 0 ? computed.erase(it) : std::next(it);
+  }
+  for (const auto& [id, h] : pass.fingerprints) computed[prefix + id] = hex16(h);
+  {
+    std::ofstream out(COLUMBIA_COMPUTED_FINGERPRINTS);
+    for (const auto& [key, h] : computed) out << key << " " << h << "\n";
+  }
+
+  std::size_t golden_ids = 0;
+  for (const auto& [key, h] : golden) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    ++golden_ids;
+    const auto it = computed.find(key);
+    EXPECT_TRUE(it != computed.end()) << key << ": golden id no longer runs";
+  }
+  for (const auto& [id, h] : pass.fingerprints) {
+    const auto it = golden.find(prefix + id);
+    if (it == golden.end()) {
+      ADD_FAILURE() << prefix << id << ": no golden fingerprint";
+    } else {
+      EXPECT_EQ(it->second, hex16(h))
+          << prefix << id << ": artifact bytes changed from the golden";
+    }
+  }
+  EXPECT_EQ(golden_ids, pass.fingerprints.size()) << mode;
+}
+
 TEST(GoldenDeterminism, RegistryWithCheckProfileFaultsIsByteIdentical) {
-  const std::string pass1 = golden_pass();
-  const std::string pass2 = golden_pass();
-  ASSERT_FALSE(pass1.empty());
-  EXPECT_TRUE(pass1 == pass2) << first_divergence(pass1, pass2);
+  const Pass pass1 = golden_pass();
+  const Pass pass2 = golden_pass();
+  ASSERT_FALSE(pass1.bytes.empty());
+  EXPECT_TRUE(pass1.bytes == pass2.bytes)
+      << first_divergence(pass1.bytes, pass2.bytes);
+  check_fingerprints("event", pass1);
 }
 
 TEST(GoldenDeterminism, IoExperimentsSeqVsParallelAreByteIdentical) {
@@ -116,10 +201,12 @@ TEST(GoldenDeterminism, RegistryUnderFlowTransportIsByteIdentical) {
   // (what `--transport flow` does): every experiment, still under
   // check + profile + faults, must regenerate byte-identically.
   machine::ScopedTransport pin(machine::TransportModel::Flow);
-  const std::string pass1 = golden_pass();
-  const std::string pass2 = golden_pass();
-  ASSERT_FALSE(pass1.empty());
-  EXPECT_TRUE(pass1 == pass2) << first_divergence(pass1, pass2);
+  const Pass pass1 = golden_pass();
+  const Pass pass2 = golden_pass();
+  ASSERT_FALSE(pass1.bytes.empty());
+  EXPECT_TRUE(pass1.bytes == pass2.bytes)
+      << first_divergence(pass1.bytes, pass2.bytes);
+  check_fingerprints("flow", pass1);
 }
 
 }  // namespace
