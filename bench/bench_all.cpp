@@ -38,12 +38,12 @@
 // seed; the analyzers are pure listeners).
 //
 // Storage-subsystem accounting needs no flag: the timed passes always run
-// with the global simio collector armed (pure accounting, cannot perturb
-// timing) and the merged Filesystem counters land under "io".
+// with a simio collector in their run context (pure accounting, cannot
+// perturb timing) and the merged Filesystem counters land under "io".
 //
 // --race-explore walks every experiment's wildcard-receive orderings
-// through simrace (sequentially, on a clean engine, before the analyzers
-// attach — run_under installs its own candidate-discovery check), bounded
+// through simrace (sequentially, each replay in its own run context with
+// its own candidate-discovery check), bounded
 // by --max-execs per experiment, and embeds the explored/pruned/
 // infeasible/truncated/diverged totals under "race". A diverged count of
 // anything but zero fails the run: the paper artifacts are expected to be
@@ -66,10 +66,10 @@
 #include "core/experiment.hpp"
 #include "core/run_options.hpp"
 #include "machine/transport.hpp"
-#include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
-#include "simio/global.hpp"
+#include "simfault/collector.hpp"
+#include "simio/io_stats.hpp"
 #include "simprof/profiler.hpp"
 #include "simrace/explorer.hpp"
 
@@ -88,15 +88,15 @@ struct PassResult {
 };
 
 PassResult run_sequential(const std::vector<Experiment>& registry,
-                          int repeat) {
+                          int repeat, columbia::sim::RunContext& ctx) {
   PassResult pass;
-  const std::uint64_t events_before = columbia::sim::total_events_processed();
+  const std::uint64_t events_before = ctx.events.load();
   // simlint:allow(nondet-source) — wall-clock pass timing, not sim state
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& exp : registry) {
     Report report;
-    auto timing = columbia::bench::time_experiment(exp, Exec::sequential(),
-                                                   repeat, &report);
+    auto timing = columbia::bench::time_experiment(
+        exp, Exec::sequential().in(ctx), repeat, &report);
     pass.rendered.push_back(report.render());
     pass.timings.push_back(std::move(timing));
   }
@@ -104,28 +104,30 @@ PassResult run_sequential(const std::vector<Experiment>& registry,
                            // simlint:allow(nondet-source) — wall-clock timing
                            std::chrono::steady_clock::now() - t0)
                            .count();
-  pass.events = columbia::sim::total_events_processed() - events_before;
+  pass.events = ctx.events.load() - events_before;
   return pass;
 }
 
 PassResult run_parallel(const std::vector<Experiment>& registry, int repeat,
-                        int jobs, const std::string& strategy) {
+                        int jobs, const std::string& strategy,
+                        columbia::sim::RunContext& ctx) {
   PassResult pass;
   pass.rendered.resize(registry.size());
-  const std::uint64_t events_before = columbia::sim::total_events_processed();
+  const std::uint64_t events_before = ctx.events.load();
   // simlint:allow(nondet-source) — wall-clock pass timing, not sim state
   const auto t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < repeat; ++rep) {
     if (strategy == "inner") {
       for (std::size_t i = 0; i < registry.size(); ++i) {
-        pass.rendered[i] = registry[i].run_exec(Exec::parallel(jobs)).render();
+        pass.rendered[i] =
+            registry[i].run_exec(Exec::parallel(jobs).in(ctx)).render();
       }
     } else {
       columbia::common::parallel_for(
           registry.size(),
           [&](std::size_t i) {
             pass.rendered[i] =
-                registry[i].run_exec(Exec::parallel(jobs)).render();
+                registry[i].run_exec(Exec::parallel(jobs).in(ctx)).render();
           },
           jobs);
     }
@@ -135,8 +137,7 @@ PassResult run_parallel(const std::vector<Experiment>& registry, int repeat,
                            std::chrono::steady_clock::now() - t0)
                            .count() /
                        repeat;
-  pass.events =
-      (columbia::sim::total_events_processed() - events_before) / repeat;
+  pass.events = (ctx.events.load() - events_before) / repeat;
   return pass;
 }
 
@@ -163,16 +164,20 @@ struct FlowSpeedup {
   }
 };
 
-/// Times `exp` under the event backend, then the flow backend. The caller
-/// restores the global transport afterwards.
+/// Times `exp` under the event backend, then the flow backend, each in a
+/// clean run context of its own.
 FlowSpeedup measure_flow_speedup(const Experiment& exp, int repeat) {
   using columbia::machine::TransportModel;
   FlowSpeedup fs;
   fs.id = exp.id;
-  columbia::machine::set_global_transport(TransportModel::Event);
-  fs.event = columbia::bench::time_experiment(exp, Exec::sequential(), repeat);
-  columbia::machine::set_global_transport(TransportModel::Flow);
-  fs.flow = columbia::bench::time_experiment(exp, Exec::sequential(), repeat);
+  columbia::sim::RunContext event_ctx;
+  event_ctx.transport = TransportModel::Event;
+  fs.event = columbia::bench::time_experiment(
+      exp, Exec::sequential().in(event_ctx), repeat);
+  columbia::sim::RunContext flow_ctx;
+  flow_ctx.transport = TransportModel::Flow;
+  fs.flow = columbia::bench::time_experiment(
+      exp, Exec::sequential().in(flow_ctx), repeat);
   return fs;
 }
 
@@ -300,20 +305,21 @@ int main(int argc, char** argv) {
                   fs.event.events_per_second, fs.flow.events_per_second);
     }
   }
-  columbia::machine::set_global_transport(transport_model);
 
-  // Wildcard-ordering exploration runs before the analyzers attach:
-  // run_under installs its own scoped candidate-discovery check, and the
-  // walk re-runs each scenario up to --max-execs times, so it must see a
-  // clean engine. Sequential only — schedule keys include the World
-  // construction serial, which parallel execution would not keep stable.
+  // Wildcard-ordering exploration: run_under gives every replay its own
+  // context with its own candidate-discovery check, and the walk re-runs
+  // each scenario up to --max-execs times. Sequential only — schedule
+  // keys include the World construction serial, which parallel execution
+  // would not keep stable.
   RaceTotals race;
   if (opts.spec.race_explore) {
     std::printf("race-explore: %zu experiments, max %d execs each...\n",
                 registry.size(), opts.spec.max_execs);
     for (const auto& exp : registry) {
-      const auto scenario = [&exp] {
-        return exp.run_exec(Exec::sequential()).render();
+      const auto scenario = [&exp,
+                             transport_model](columbia::sim::RunContext& ctx) {
+        ctx.transport = transport_model;
+        return exp.run_exec(Exec::sequential().in(ctx)).render();
       };
       columbia::simrace::ExploreOptions ropts;
       ropts.max_execs = opts.spec.max_execs;
@@ -329,50 +335,47 @@ int main(int argc, char** argv) {
                 race.diverged);
   }
 
-  // RAII arming: each analyzer is on for exactly the scope of the timed
-  // passes. optional<Scoped*> because draining happens mid-function — the
-  // explicit reset() below is the disarm point, and an early exit (or an
-  // exception from a pass) can no longer leak a factory.
-  std::optional<columbia::simcheck::ScopedGlobalCheck> scoped_check;
-  std::optional<columbia::simprof::ScopedGlobalProfile> scoped_profile;
-  std::optional<columbia::simfault::ScopedGlobalFaults> scoped_faults;
-  if (opts.spec.check) scoped_check.emplace();
+  // The timed passes share one run context holding the requested
+  // analyzers; each collector is drained once both passes are done.
+  columbia::sim::RunContext ctx;
+  ctx.transport = transport_model;
+  std::optional<columbia::simcheck::CheckCollector> check;
+  std::optional<columbia::simprof::ProfileCollector> profile;
+  std::optional<columbia::simfault::FaultCollector> faults;
+  if (opts.spec.check) check.emplace(ctx);
   if (opts.spec.profile) {
     // Roll-up only: the summary embeds aggregate profiles, not timelines.
     columbia::simprof::ProfileOptions popts;
     popts.retain_timeline = false;
-    scoped_profile.emplace(popts);
+    profile.emplace(ctx, popts);
   }
   if (opts.spec.faults) {
-    scoped_faults.emplace(columbia::simfault::FaultSpec::uniform(
-        opts.spec.fault_seed, opts.spec.fault_intensity));
+    faults.emplace(ctx, columbia::simfault::FaultSpec::uniform(
+                            opts.spec.fault_seed, opts.spec.fault_intensity));
   }
-  // Always armed: storage accounting is a pure listener, and the "io"
+  // Always collected: storage accounting is a pure listener, and the "io"
   // block has been part of the summary since schema 5 rather than an
   // opt-in.
-  std::optional<columbia::simio::ScopedGlobalIoStats> scoped_io;
-  scoped_io.emplace();
+  columbia::simio::IoCollector io(ctx);
   PassResult seq, par;
   const bool want_seq = mode == "both" || mode == "seq";
   const bool want_par = mode == "both" || mode == "par";
   if (want_seq) {
     std::printf("sequential baseline: %zu experiments x%d...\n",
                 registry.size(), repeat);
-    seq = run_sequential(registry, repeat);
+    seq = run_sequential(registry, repeat, ctx);
     std::printf("  %.2f s total, %.0f events/s\n", seq.total_seconds,
                 seq.events / std::max(seq.total_seconds, 1e-12));
   }
   if (want_par) {
     std::printf("parallel (%s, %d jobs): %zu experiments x%d...\n",
                 strategy.c_str(), effective_jobs, registry.size(), repeat);
-    par = run_parallel(registry, repeat, jobs, strategy);
+    par = run_parallel(registry, repeat, jobs, strategy, ctx);
     std::printf("  %.2f s total, %.0f events/s\n", par.total_seconds,
                 par.events / std::max(par.total_seconds, 1e-12));
   }
 
-  const columbia::simio::IoStats io_stats =
-      columbia::simio::drain_global_io_stats();
-  scoped_io.reset();
+  const columbia::simio::IoStats io_stats = io.drain();
   std::printf("io: %llu filesystems, %llu opens, %llu writes, %llu reads, "
               "%llu chunks\n",
               static_cast<unsigned long long>(io_stats.filesystems),
@@ -383,20 +386,17 @@ int main(int argc, char** argv) {
 
   columbia::simcheck::CheckReport check_report;
   if (opts.spec.check) {
-    check_report = columbia::simcheck::drain_global_check_report();
-    scoped_check.reset();
+    check_report = check->drain();
     std::fputs(check_report.render().c_str(), stderr);
   }
   columbia::simprof::ProfileReport profile_report;
   if (opts.spec.profile) {
-    profile_report = columbia::simprof::drain_global_profile_report();
-    scoped_profile.reset();
+    profile_report = profile->drain_report();
     std::fputs(profile_report.render().c_str(), stderr);
   }
   columbia::simfault::FaultStats fault_stats;
   if (opts.spec.faults) {
-    fault_stats = columbia::simfault::drain_global_fault_stats();
-    scoped_faults.reset();
+    fault_stats = faults->drain();
     std::fprintf(stderr,
                  "faults: %llu worlds, %llu dropped, %llu retries, "
                  "%llu lost\n",

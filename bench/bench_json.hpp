@@ -14,7 +14,7 @@
 
 #include "common/check.hpp"
 #include "core/experiment.hpp"
-#include "sim/engine.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::bench {
 
@@ -98,18 +98,21 @@ inline ExperimentTiming time_experiment(const core::Experiment& exp,
                                         core::Report* first_report = nullptr) {
   ExperimentTiming t;
   t.id = exp.id;
-  const std::uint64_t events_before = sim::total_events_processed();
+  // Events are counted in the run's context: the caller's, or a clean one.
+  sim::RunContext own;
+  const core::Exec run = exec.context != nullptr ? exec : exec.in(own);
+  const std::uint64_t events_before = run.context->events.load();
   for (int i = 0; i < repeat; ++i) {
     // simlint:allow(nondet-source) — measures host wall time per run;
     // the simulated clocks inside the run stay (spec, seed)-pure.
     const auto t0 = std::chrono::steady_clock::now();
-    auto report = exp.run_exec(exec);
+    auto report = exp.run_exec(run);
     const auto t1 = std::chrono::steady_clock::now();  // simlint:allow(nondet-source) — same wall-time measurement
     t.wall_seconds.push_back(
         std::chrono::duration<double>(t1 - t0).count());
     if (i == 0 && first_report != nullptr) *first_report = std::move(report);
   }
-  t.events = sim::total_events_processed() - events_before;
+  t.events = run.context->events.load() - events_before;
   const double total = t.total_seconds();
   t.events_per_second =
       total > 0.0 ? static_cast<double>(t.events) / total : 0.0;

@@ -1,23 +1,20 @@
 #pragma once
 /// \file evaluator.hpp
-/// `Evaluator` — one ScenarioSpec in, one Result out, no leaked globals.
+/// `Evaluator` — one ScenarioSpec in, one Result out, nothing shared.
 ///
 /// The library face of what run_experiment's main() used to hand-roll:
-/// resolve the spec's experiment against the registry, arm exactly the
-/// analyzers the spec asks for (via the Scoped* RAII guards, so an
-/// exception cannot leave a factory installed), run the sweep under the
-/// caller's Exec policy, and return the rendered report bytes plus the
-/// drained analyzer artifacts. The report bytes are byte-identical to
-/// what `run_experiment <id>` prints for the same spec — pinned by
-/// test_simserve — which is what makes results cacheable by spec hash.
+/// resolve the spec's experiment against the registry, build one
+/// sim::RunContext holding the spec's transport and exactly the analyzers
+/// the spec asks for (per-run collectors), run the sweep in that context
+/// under the caller's Exec policy, and return the rendered report bytes
+/// plus the drained analyzer artifacts. The report bytes are
+/// byte-identical to what `run_experiment <id>` prints for the same spec
+/// — pinned by test_simserve — which is what makes results cacheable by
+/// spec hash.
 ///
-/// Concurrency: the analyzers, the fault factory, and the transport
-/// default are process-global, so two evaluations that arm them cannot
-/// overlap. evaluate() serializes internally on a process-wide
-/// shared/exclusive lock: specs that touch no global state (no analyzers,
-/// transport matching the installed default) run concurrently under the
-/// shared side; everything else takes the exclusive side and restores the
-/// globals before returning. Callers never manage globals themselves.
+/// Concurrency: everything an evaluation arms lives in its own context,
+/// so any two evaluate() calls may run concurrently, whatever their
+/// specs; evaluate() takes no lock.
 ///
 /// Error handling: an unknown experiment id, a bad transport, or an
 /// exception escaping the sweep (e.g. a fault-induced deadlock) comes
@@ -25,7 +22,6 @@
 /// does not throw, so a serving loop can keep going.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/scenario.hpp"
@@ -53,9 +49,7 @@ struct EvalResult {
   std::uint64_t spec_hash = 0;
   std::string report;  ///< byte-identical to run_experiment's stdout block
 
-  /// Engine events this evaluation processed (delta of the global
-  /// counter). Exact for exclusive evaluations; approximate when plain
-  /// evaluations overlap on the shared side.
+  /// Engine events this evaluation processed, counted in its run context.
   std::uint64_t events = 0;
   double wall_seconds = 0.0;  ///< host wall clock, for serving metrics only
 
@@ -78,21 +72,13 @@ struct EvalResult {
 
 class Evaluator {
  public:
-  /// Evaluates `spec` and returns the result. Never throws; never leaves
-  /// process-global analyzer/fault/transport state modified.
+  /// Evaluates `spec` and returns the result. Never throws.
   ///
   /// `spec.race_explore` is carried in the hash but not acted on here —
   /// core sits below simrace, so ordering exploration belongs to the
-  /// layers that link it (simserve::Service, bench_all). They run it
-  /// under with_exclusive_globals().
+  /// layers that link it (simserve::Service, bench_all).
   EvalResult evaluate(const ScenarioSpec& spec,
                       const EvalOptions& opts = {}) const;
-
-  /// Runs `fn` while holding the same exclusive lock evaluate() takes for
-  /// global-state specs — the hook for callers that must mutate process
-  /// globals themselves (simrace exploration installs its own check +
-  /// match-policy factories) without racing concurrent plain evaluations.
-  static void with_exclusive_globals(const std::function<void()>& fn);
 };
 
 }  // namespace columbia::core

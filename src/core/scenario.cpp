@@ -2,13 +2,17 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::core {
 
 std::vector<std::vector<double>> run_scenarios(
     const std::vector<Scenario>& scenarios, const Exec& exec) {
   std::vector<std::vector<double>> results(scenarios.size());
+  sim::RunContext* const ctx =
+      exec.context != nullptr ? exec.context : sim::current_run_context();
   if (exec.mode == Exec::Mode::Sequential) {
+    const sim::CurrentRunContext current(ctx);
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       COL_REQUIRE(static_cast<bool>(scenarios[i].run),
                   "scenario has no run closure");
@@ -19,6 +23,7 @@ std::vector<std::vector<double>> run_scenarios(
   common::parallel_for(
       scenarios.size(),
       [&](std::size_t i) {
+        const sim::CurrentRunContext current(ctx);
         COL_REQUIRE(static_cast<bool>(scenarios[i].run),
                     "scenario has no run closure");
         results[i] = scenarios[i].run();

@@ -14,10 +14,18 @@
 ///  * construct all simulation state (Cluster, Engine, Rng seeds) inside
 ///    the closure — capture only values, never shared mutable objects;
 ///  * all randomness must come from seeds fixed at closure build time.
+///
+/// The run's sim::RunContext (transport, analyzers, counters) travels in
+/// the Exec; run_scenarios makes it current on whichever thread runs a
+/// closure, so Engines built inside pick it up.
 
 #include <functional>
 #include <string>
 #include <vector>
+
+namespace columbia::sim {
+struct RunContext;
+}  // namespace columbia::sim
 
 namespace columbia::core {
 
@@ -27,9 +35,18 @@ struct Exec {
   Mode mode = Mode::Sequential;
   /// Worker count for Mode::Parallel; 0 = COLUMBIA_JOBS / host CPUs.
   int jobs = 0;
+  /// The run these scenarios belong to. nullptr inherits the context
+  /// current on the calling thread (a nested sweep stays in its run).
+  sim::RunContext* context = nullptr;
 
   static Exec sequential() { return {}; }
   static Exec parallel(int jobs = 0) { return {Mode::Parallel, jobs}; }
+  /// This policy, running in `ctx`.
+  Exec in(sim::RunContext& ctx) const {
+    Exec out = *this;
+    out.context = &ctx;
+    return out;
+  }
 };
 
 /// One independent sweep point. `run` returns the point's metric values;

@@ -16,6 +16,7 @@
 #include "machine/cluster.hpp"
 #include "machine/placement.hpp"
 #include "machine/transport.hpp"
+#include "sim/run_context.hpp"
 
 namespace columbia::hpcc {
 
@@ -33,12 +34,13 @@ inline constexpr double kBandwidthBytes = 2.0e6;
 class Beff {
  public:
   /// `transport` selects the network backend for every internal world this
-  /// component builds; the default follows the process-wide selection, so
-  /// drivers that must pin a backend (e.g. ext-columbia-full forcing the
-  /// flow model) pass it explicitly instead of mutating global state.
+  /// component builds; the default follows the current run's selection,
+  /// so drivers that must pin a backend (e.g. ext-columbia-full forcing
+  /// the flow model) pass it explicitly.
   Beff(const machine::Cluster& cluster, machine::Placement placement,
        std::uint64_t seed = 0xBEEFull,
-       machine::TransportModel transport = machine::global_transport());
+       machine::TransportModel transport =
+           machine::transport_of(sim::current_run_context()));
 
   int num_ranks() const { return placement_.num_ranks(); }
 

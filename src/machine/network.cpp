@@ -7,6 +7,9 @@
 
 namespace columbia::machine {
 
+Network::Network(sim::Engine& engine, const Cluster& cluster)
+    : Network(engine, cluster, transport_of(engine.context())) {}
+
 Network::Network(sim::Engine& engine, const Cluster& cluster,
                  TransportModel transport)
     : engine_(&engine), cluster_(&cluster), transport_(transport) {

@@ -49,11 +49,13 @@ namespace columbia::machine {
 
 class Network {
  public:
-  /// The default transport is the process-wide selection (--transport);
-  /// pass one explicitly to force a backend regardless of the run mode
-  /// (the full-Columbia experiment forces Flow this way).
+  /// Uses the transport of the engine's run context (--transport; Event
+  /// outside any run).
+  Network(sim::Engine& engine, const Cluster& cluster);
+  /// Forces a backend regardless of the run's selection (the
+  /// full-Columbia experiment forces Flow this way).
   Network(sim::Engine& engine, const Cluster& cluster,
-          TransportModel transport = global_transport());
+          TransportModel transport);
 
   const Cluster& cluster() const { return *cluster_; }
   sim::Engine& engine() const { return *engine_; }

@@ -7,16 +7,19 @@
 /// start/finish event pair).
 ///
 /// Selection is per run: the binaries parse `--transport <event|flow>`
-/// through the shared RunOptionsParser and install the result with
-/// set_global_transport() before any experiment runs — mirroring how
-/// `--faults` installs the global fault factory — so the ~30 Network
-/// construction sites pick it up through the constructor's default
-/// argument without signature churn. Code that *requires* one backend
-/// (the full-Columbia experiment is only tractable under flow) passes
-/// the model explicitly instead of mutating the global, keeping parallel
-/// registry sweeps deterministic.
+/// through the shared RunOptionsParser into the run's ScenarioSpec, the
+/// evaluation stores it in its sim::RunContext, and every Network built
+/// without an explicit backend picks it up from its Engine's context —
+/// so the ~30 Network construction sites need no signature churn, and two
+/// runs with different transports can share a process. Code that
+/// *requires* one backend (the full-Columbia experiment is only tractable
+/// under flow) passes the model explicitly instead.
 
 #include <string>
+
+namespace columbia::sim {
+struct RunContext;
+}  // namespace columbia::sim
 
 namespace columbia::machine {
 
@@ -32,26 +35,7 @@ const char* to_string(TransportModel model);
 bool parse_transport(const std::string& name, TransportModel& model,
                      std::string& error);
 
-/// Process-wide default consulted by Network's constructor. Set once at
-/// startup from --transport; not meant to be toggled mid-run (scenario
-/// closures on pool threads read it concurrently).
-void set_global_transport(TransportModel model);
-TransportModel global_transport();
-
-/// RAII save/switch/restore of the global transport, for tests and tools
-/// that compare backends within one process. Same caveat as the setter:
-/// construct/destroy only while no Worlds are running.
-struct ScopedTransport {
-  explicit ScopedTransport(TransportModel model)
-      : saved_(global_transport()) {
-    set_global_transport(model);
-  }
-  ~ScopedTransport() { set_global_transport(saved_); }
-  ScopedTransport(const ScopedTransport&) = delete;
-  ScopedTransport& operator=(const ScopedTransport&) = delete;
-
- private:
-  TransportModel saved_;
-};
+/// The transport of `ctx`: its selection, or Event outside any run.
+TransportModel transport_of(const sim::RunContext* ctx);
 
 }  // namespace columbia::machine

@@ -15,13 +15,19 @@ namespace {
 // independent engines may run on different host threads concurrently.
 thread_local Engine* g_current_engine = nullptr;
 
-// Cross-engine, cross-thread event total for the bench harness.
-std::atomic<std::uint64_t> g_total_events{0};
+// The run whose scenario closure is executing on this thread (see
+// run_context.hpp); thread_local for the same reason.
+thread_local RunContext* g_current_context = nullptr;
 }  // namespace
 
-std::uint64_t total_events_processed() {
-  return g_total_events.load(std::memory_order_relaxed);
+RunContext* current_run_context() { return g_current_context; }
+
+CurrentRunContext::CurrentRunContext(RunContext* ctx)
+    : prev_(g_current_context) {
+  g_current_context = ctx;
 }
+
+CurrentRunContext::~CurrentRunContext() { g_current_context = prev_; }
 
 std::suspend_always Task::promise_type::final_suspend() noexcept {
   Engine* e = engine ? engine : g_current_engine;
@@ -37,7 +43,9 @@ void Task::promise_type::unhandled_exception() noexcept {
   if (e) e->on_task_exception(std::current_exception());
 }
 
-Engine::Engine() {
+Engine::Engine() : Engine(g_current_context) {}
+
+Engine::Engine(RunContext* context) : context_(context) {
   // A typical scenario schedules hundreds of concurrent ranks; start with
   // room for them so the first run() does not grow the heap step by step.
   heap_.reserve(1024);
@@ -146,7 +154,7 @@ void Engine::reap_finished() {
   finished_.clear();
 }
 
-// simlint:seam(cross-rank-shared-mutable,nondet-interprocedural): the current-engine pointer is thread_local (one engine per host thread — exactly the PDES partition boundary), the event total is an atomic diagnostics counter, and the wall clock feeds only the events/sec perf counter; none of it is simulation state.
+// simlint:seam(cross-rank-shared-mutable,nondet-interprocedural): the current-engine pointer is thread_local (one engine per host thread — exactly the PDES partition boundary), the run's event total is an atomic diagnostics counter, and the wall clock feeds only the events/sec perf counter; none of it is simulation state.
 void Engine::run() {
   Engine* prev = g_current_engine;
   g_current_engine = this;
@@ -168,8 +176,11 @@ void Engine::run() {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         wall_start)
               .count();
-      g_total_events.fetch_add(self->events_processed_ - events_at_entry,
-                               std::memory_order_relaxed);
+      if (self->context_ != nullptr) {
+        self->context_->events.fetch_add(
+            self->events_processed_ - events_at_entry,
+            std::memory_order_relaxed);
+      }
     }
   } restore{prev, this, events_at_entry, wall_start};
 

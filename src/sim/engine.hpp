@@ -26,6 +26,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "sim/run_context.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -40,13 +41,13 @@ class DeadlockError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Process-wide count of events processed by all engines on all threads
-/// (monotonic; used by the bench harness for events/sec reporting).
-std::uint64_t total_events_processed();
-
 class Engine {
  public:
+  /// Binds the engine to the run context current on this thread
+  /// (run_context.hpp), or to none outside a run.
   Engine();
+  /// Binds the engine to `context` explicitly (nullptr: none).
+  explicit Engine(RunContext* context);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -115,6 +116,10 @@ class Engine {
   void set_span_sink(SpanSink* sink) { span_sink_ = sink; }
   SpanSink* span_sink() const { return span_sink_; }
 
+  /// The run this engine belongs to (nullptr: none). Layers built on the
+  /// engine read their transport, analyzers and sinks from it.
+  RunContext* context() const { return context_; }
+
   /// Number of spawned processes that have not yet finished.
   std::size_t live_tasks() const { return live_tasks_; }
   /// Total events processed so far (observability / perf accounting).
@@ -149,6 +154,7 @@ class Engine {
   Event heap_pop();
   void reap_finished();
 
+  RunContext* context_;
   Time now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_cancel_token_ = 1;

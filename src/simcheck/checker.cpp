@@ -8,6 +8,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "sim/run_context.hpp"
+
 namespace columbia::simcheck {
 
 namespace {
@@ -508,37 +510,12 @@ void Checker::finalize() {
 
 void Checker::on_finalize() { finalize(); }
 
-// ---------------------------------------------------------------------------
-// Global (--check) mode
-// ---------------------------------------------------------------------------
-
-namespace {
-std::mutex g_mutex;
-CheckReport g_report;
-std::vector<RaceDecision> g_race_decisions;
-std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_regions{0};
-std::atomic<int> g_world_serial{0};
-std::uint64_t g_world_factory_handle = 0;
-std::uint64_t g_region_observer_handle = 0;
-
-void publish_global(const CheckReport& report) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_report.merge(report);
-}
-}  // namespace
-
-// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's race report into the process-wide sink at teardown; the merge is commutative, so cross-rank completion order cannot change the published report.
+// simlint:seam(cross-rank-shared-mutable): mutex-ordered merge of this world's report into its run's collector at teardown; the merge is commutative, so cross-rank completion order cannot change the published report.
 void Checker::publish() {
-  if (!publish_globally_ || published_) return;
+  if (collector_ == nullptr || published_) return;
   published_ = true;
   report_.stats.worlds = 1;
-  publish_global(report_);
-  if (!decisions_.empty()) {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_race_decisions.insert(g_race_decisions.end(), decisions_.begin(),
-                            decisions_.end());
-  }
+  collector_->publish(report_, decisions_);
 }
 
 void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
@@ -566,64 +543,53 @@ void Checker::check_region(const simomp::RegionSpec& region, int nthreads,
            " (nthreads=" + std::to_string(nthreads) + ")"});
 }
 
-void enable_global_check() {
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    g_report = CheckReport{};
-    g_race_decisions.clear();
-  }
-  g_regions.store(0, std::memory_order_relaxed);
-  g_world_serial.store(0, std::memory_order_relaxed);
-  g_enabled.store(true, std::memory_order_relaxed);
-  // Handle-based registration so --check composes with other global
-  // analyzers (simprof's --profile) instead of displacing them.
-  g_world_factory_handle = simmpi::add_world_observer_factory(
-      [](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
+// ---------------------------------------------------------------------------
+// Per-run (--check) mode
+// ---------------------------------------------------------------------------
+
+CheckCollector::CheckCollector(sim::RunContext& ctx) {
+  ctx.observer_factories.push_back(
+      [this](simmpi::World& world) -> std::shared_ptr<simmpi::CommObserver> {
         auto checker = std::make_shared<Checker>();
-        checker->set_publish_globally(true);
+        checker->set_collector(this);
         checker->set_world_serial(
-            g_world_serial.fetch_add(1, std::memory_order_relaxed));
+            world_serial_.fetch_add(1, std::memory_order_relaxed));
         checker->attach(world);
         return checker;
       });
-  g_region_observer_handle = simomp::add_region_observer(
-      [](const simomp::RegionSpec& region, int nthreads) {
-        g_regions.fetch_add(1, std::memory_order_relaxed);
+  ctx.region_observers.push_back(
+      [this](const simomp::RegionSpec& region, int nthreads) {
+        regions_.fetch_add(1, std::memory_order_relaxed);
         CheckReport local;
         Checker::check_region(region, nthreads, local);
-        if (!local.diagnostics.empty()) publish_global(local);
+        if (!local.diagnostics.empty()) publish(local, {});
       });
 }
 
-void disable_global_check() {
-  g_enabled.store(false, std::memory_order_relaxed);
-  simmpi::remove_world_observer_factory(g_world_factory_handle);
-  simomp::remove_region_observer(g_region_observer_handle);
-  g_world_factory_handle = 0;
-  g_region_observer_handle = 0;
+void CheckCollector::publish(const CheckReport& report,
+                             const std::vector<RaceDecision>& decisions) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  report_.merge(report);
+  decisions_.insert(decisions_.end(), decisions.begin(), decisions.end());
 }
 
-bool global_check_enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-CheckReport drain_global_check_report() {
+CheckReport CheckCollector::drain() {
   CheckReport out;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    out = std::move(g_report);
-    g_report = CheckReport{};
+    std::lock_guard<std::mutex> lock(mutex_);
+    out = std::move(report_);
+    report_ = CheckReport{};
   }
-  out.stats.regions += g_regions.exchange(0, std::memory_order_relaxed);
+  out.stats.regions += regions_.exchange(0, std::memory_order_relaxed);
   return out;
 }
 
-std::vector<RaceDecision> drain_global_race_decisions() {
+std::vector<RaceDecision> CheckCollector::drain_race_decisions() {
   std::vector<RaceDecision> out;
   {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    out = std::move(g_race_decisions);
-    g_race_decisions.clear();
+    std::lock_guard<std::mutex> lock(mutex_);
+    out = std::move(decisions_);
+    decisions_.clear();
   }
   std::sort(out.begin(), out.end(),
             [](const RaceDecision& a, const RaceDecision& b) {

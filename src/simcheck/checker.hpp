@@ -23,12 +23,14 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Checker c; c.attach(world); world.run(...);`
 ///     then inspect `c.report()`;
-///   * globally (`--check` on run_experiment / bench_all):
-///     `enable_global_check()` makes every subsequently constructed World
-///     own a checker and also validates every OpenMP region evaluation;
-///     `drain_global_check_report()` collects the merged result.
+///   * per run (`--check` on run_experiment / bench_all): a
+///     `CheckCollector` registered into the run's sim::RunContext makes
+///     every World of the run own a checker and also validates every
+///     OpenMP region evaluation; its `drain()` collects the merged result.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -38,7 +40,13 @@
 #include "simmpi/world.hpp"
 #include "simomp/omp_model.hpp"
 
+namespace columbia::sim {
+struct RunContext;
+}  // namespace columbia::sim
+
 namespace columbia::simcheck {
+
+class CheckCollector;
 
 enum class DiagKind {
   Deadlock,
@@ -128,14 +136,13 @@ class Checker final : public simmpi::CommObserver {
 
   /// Tags this checker's decisions with a World construction serial so
   /// (world, rank, k) is unique across the Worlds of one exploration run.
-  /// The global-check factory assigns serials in construction order —
-  /// deterministic only under sequential execution, which the explorer
-  /// requires anyway.
+  /// CheckCollector assigns serials in construction order — deterministic
+  /// only under sequential execution, which the explorer requires anyway.
   void set_world_serial(int serial) { world_serial_ = serial; }
 
-  /// When set, the report is appended to the process-global collector at
-  /// finalize/deadlock (used by the global-check factory).
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  /// When set, the report is merged into `collector` at finalize/deadlock
+  /// (used by CheckCollector's factory).
+  void set_collector(CheckCollector* collector) { collector_ = collector; }
 
   /// Validates one OpenMP region spec (non-finite or negative demand that
   /// the model's contracts cannot catch); appends to `out`.
@@ -210,7 +217,7 @@ class Checker final : public simmpi::CommObserver {
   simmpi::World* world_ = nullptr;
   int nranks_ = 0;
   int world_serial_ = 0;
-  bool publish_globally_ = false;
+  CheckCollector* collector_ = nullptr;
   bool finalized_ = false;
   bool published_ = false;
   std::unordered_map<std::uint64_t, OpRecord> ops_;
@@ -223,45 +230,37 @@ class Checker final : public simmpi::CommObserver {
   CheckReport report_;
 };
 
-// --- Global opt-in (`--check`) ----------------------------------------------
+// --- Per-run opt-in (`--check`) ---------------------------------------------
 
-/// Installs the World observer factory and the OpenMP region validator:
-/// every World constructed afterwards is checked, and all results flow
-/// into one process-global report. Resets any previously drained state.
-///
-/// Deprecated as a raw pair since the simserve API redesign: an enable
-/// without its disable poisons every later run in the process, so new
-/// code holds a ScopedGlobalCheck (or goes through core::Evaluator,
-/// which does) instead of calling these directly.
-[[deprecated("hold a simcheck::ScopedGlobalCheck instead")]]
-void enable_global_check();
-[[deprecated("hold a simcheck::ScopedGlobalCheck instead")]]
-void disable_global_check();
-bool global_check_enabled();
+/// Registers a World observer factory and an OpenMP region validator into
+/// a run context: every World of that run is checked, and all results
+/// flow into this collector's report.
+class CheckCollector {
+ public:
+  explicit CheckCollector(sim::RunContext& ctx);
+  CheckCollector(const CheckCollector&) = delete;
+  CheckCollector& operator=(const CheckCollector&) = delete;
 
-/// Moves the accumulated global report out (and clears it). Call after
-/// the runs of interest; a non-clean report should fail the process.
-CheckReport drain_global_check_report();
+  /// Moves the accumulated report out (and clears it). Call after the
+  /// run; a non-clean report should fail the process.
+  CheckReport drain();
 
-/// Moves the accumulated wildcard race decisions out (and clears them),
-/// sorted by (world, rank, k). Worlds are numbered in construction order
-/// since the last enable_global_check() — run the scenario sequentially
-/// (core::Exec::sequential) for stable world serials. src/simrace's
-/// candidate-discovery path.
-std::vector<RaceDecision> drain_global_race_decisions();
+  /// Moves the accumulated wildcard race decisions out (and clears them),
+  /// sorted by (world, rank, k). Worlds are numbered in construction
+  /// order — run the scenario sequentially (core::Exec::sequential) for
+  /// stable world serials. src/simrace's candidate-discovery path.
+  std::vector<RaceDecision> drain_race_decisions();
 
-/// RAII pairing for enable_global_check/disable_global_check — looped
-/// test bodies that enable and forget to disable poison every later run
-/// in the process (the footgun test_determinism exposed in PR 5).
-struct ScopedGlobalCheck {
-  // The one sanctioned caller of the deprecated raw pair.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ScopedGlobalCheck() { enable_global_check(); }
-  ~ScopedGlobalCheck() { disable_global_check(); }
-#pragma GCC diagnostic pop
-  ScopedGlobalCheck(const ScopedGlobalCheck&) = delete;
-  ScopedGlobalCheck& operator=(const ScopedGlobalCheck&) = delete;
+  /// Merges one world's report and race decisions (Checker::publish).
+  void publish(const CheckReport& report,
+               const std::vector<RaceDecision>& decisions);
+
+ private:
+  std::mutex mutex_;
+  CheckReport report_;                     // guarded by mutex_
+  std::vector<RaceDecision> decisions_;    // guarded by mutex_
+  std::atomic<std::uint64_t> regions_{0};
+  std::atomic<int> world_serial_{0};
 };
 
 }  // namespace columbia::simcheck

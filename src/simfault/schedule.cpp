@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "simfault/global.hpp"
+#include "simfault/collector.hpp"
 
 namespace columbia::simfault {
 
@@ -187,10 +187,10 @@ ScheduledFaultModel::ScheduledFaultModel(const FaultSpec& spec,
                           cluster.cpus_per_node()) {}
 
 ScheduledFaultModel::~ScheduledFaultModel() {
-  if (publish_globally_) {
+  if (collector_ != nullptr) {
     FaultStats out = stats_;
     out.worlds = 1;
-    publish_global_fault_stats(out);
+    collector_->publish(out);
   }
 }
 

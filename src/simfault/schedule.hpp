@@ -34,8 +34,10 @@
 
 namespace columbia::simfault {
 
+class FaultCollector;
+
 /// Intensity knobs for one fault schedule. Default-constructed = healthy
-/// machine (enabled() == false, and the global factory builds no model).
+/// machine (enabled() == false, and a FaultCollector builds no model).
 struct FaultSpec {
   std::uint64_t seed = 0;
   /// The scalar the knobs were derived from (kept for reporting only).
@@ -113,7 +115,8 @@ struct FaultSpec {
                                 double crash_period = 0.0);
 };
 
-/// Counters for one run (or merged across runs in global mode).
+/// Counters for one World (or merged across a run's Worlds by a
+/// FaultCollector).
 struct FaultStats {
   std::uint64_t worlds = 0;
   std::uint64_t messages_dropped = 0;
@@ -133,13 +136,13 @@ class ScheduledFaultModel final : public machine::FaultModel {
   /// Convenience: shape taken from the cluster.
   ScheduledFaultModel(const FaultSpec& spec,
                       const machine::Cluster& cluster);
-  /// Publishes stats() into the global collector when global publishing
-  /// was requested (global.hpp).
+  /// Publishes stats() into the collector set with set_collector, if any
+  /// (collector.hpp).
   ~ScheduledFaultModel() override;
 
   const FaultSpec& spec() const { return spec_; }
   const FaultStats& stats() const { return stats_; }
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  void set_collector(FaultCollector* collector) { collector_ = collector; }
 
   // --- schedule queries (tests, placement reporting) -----------------------
   bool link_degraded(int node) const;
@@ -190,7 +193,7 @@ class ScheduledFaultModel final : public machine::FaultModel {
   std::vector<double> jitter_phase_;  // per node, in [0, jitter_period)
   std::vector<double> fail_time_;    // per node, in [0, link_fail_window)
   FaultStats stats_;
-  bool publish_globally_ = false;
+  FaultCollector* collector_ = nullptr;
 };
 
 }  // namespace columbia::simfault

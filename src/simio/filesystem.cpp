@@ -55,14 +55,16 @@ Filesystem::Filesystem(sim::Engine& engine, machine::FilesystemSpec spec)
   for (int s = 0; s < spec_.servers; ++s) {
     servers_.push_back(std::make_unique<Disk>(engine, disk, s));
   }
-  publish_globally_ = global_io_stats_enabled();
+  if (const sim::RunContext* ctx = engine.context()) {
+    collector_ = ctx->io_stats;
+  }
 }
 
 Filesystem::~Filesystem() {
-  if (publish_globally_) {
+  if (collector_ != nullptr) {
     IoStats out = stats_;
     out.filesystems = 1;
-    publish_global_io_stats(out);
+    collector_->publish(out);
   }
 }
 

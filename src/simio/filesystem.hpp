@@ -53,7 +53,7 @@
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
 #include "simio/disk.hpp"
-#include "simio/global.hpp"
+#include "simio/io_stats.hpp"
 #include "simmpi/world.hpp"
 
 namespace columbia::simio {
@@ -135,8 +135,8 @@ class File {
 class Filesystem {
  public:
   /// Expands `spec` into server disks + metadata/streaming resources on
-  /// `engine`. A filesystem constructed while the global I/O stats
-  /// collector is armed (global.hpp) publishes its counters at teardown.
+  /// `engine`. A filesystem whose engine's run context holds an
+  /// IoCollector (io_stats.hpp) publishes its counters there at teardown.
   Filesystem(sim::Engine& engine, machine::FilesystemSpec spec);
   ~Filesystem();
   Filesystem(const Filesystem&) = delete;
@@ -188,7 +188,7 @@ class Filesystem {
   const machine::FaultModel* fault_ = nullptr;
   std::uint64_t files_created_ = 0;
   IoStats stats_;
-  bool publish_globally_ = false;
+  IoCollector* collector_ = nullptr;
 };
 
 }  // namespace columbia::simio

@@ -596,11 +596,14 @@ World::World(sim::Engine& engine, machine::Network& network,
     rank->cpu_ = placement_.cpu_of(r);
     ranks_.push_back(std::move(rank));
   }
-  // Global opt-in analysis: own one observer per installed factory (each
-  // factory attaches its product — observer slot, engine deadlock hook,
-  // engine span sink as it needs). With several products, fan events out
-  // to all of them so `--check` and `--profile` compose.
-  for (const auto& factory : world_observer_factories()) {
+  // Per-run opt-ins from the engine's run context. Analysis: own one
+  // observer per factory (each attaches its product — observer slot,
+  // engine deadlock hook, engine span sink as it needs). With several
+  // products, fan events out to all of them so `--check` and `--profile`
+  // compose.
+  sim::RunContext* ctx = engine.context();
+  if (ctx == nullptr) return;
+  for (const auto& factory : ctx->observer_factories) {
     if (auto product = factory(*this)) {
       owned_observers_.push_back(std::move(product));
     }
@@ -614,20 +617,20 @@ World::World(sim::Engine& engine, machine::Network& network,
     fanout_ = std::make_unique<ObserverFanout>(std::move(children));
     observer_ = fanout_.get();
   }
-  // Global fault opt-in (the `--faults` path): single slot, nullable
-  // product (a zero-intensity spec builds no model, keeping the run
-  // byte-identical to a clean one).
-  if (const auto& fault_factory = world_fault_factory()) {
-    if (auto model = fault_factory(*this)) {
+  // Faults (the `--faults` path): single slot, nullable product (a
+  // zero-intensity spec builds no model, keeping the run byte-identical
+  // to a clean one).
+  if (ctx->fault_factory) {
+    if (auto model = ctx->fault_factory(*this)) {
       fault_model_owned_ = std::move(model);
       set_fault_model(fault_model_owned_.get());
     }
   }
-  // Global match-policy opt-in (src/simrace's exploration path): single
-  // slot, nullable product (a factory with no forcings for this World can
-  // return null and the run stays byte-identical to a free one).
-  if (const auto& policy_factory = world_match_policy_factory()) {
-    if (auto policy = policy_factory(*this)) {
+  // Match policy (src/simrace's exploration path): single slot, nullable
+  // product (a factory with no forcings for this World can return null
+  // and the run stays byte-identical to a free one).
+  if (ctx->match_policy_factory) {
+    if (auto policy = ctx->match_policy_factory(*this)) {
       match_policy_owned_ = std::move(policy);
       set_match_policy(match_policy_owned_.get());
     }

@@ -21,14 +21,16 @@
 /// Two ways to use it:
 ///   * standalone (tests): `Profiler p; p.attach(world); world.run(...);`
 ///     then inspect `p.profile()`;
-///   * globally (`--profile` on run_experiment / bench_all):
-///     `enable_global_profile()` registers an observer factory (composing
-///     with simcheck's `--check` via the factory fan-out), every
-///     subsequently constructed World owns a profiler, and
-///     `drain_global_profile_report()` / `drain_global_profile_trace()`
-///     collect the merged report and the retained representative timeline.
+///   * per run (`--profile` on run_experiment / bench_all): a
+///     `ProfileCollector` registers an observer factory into the run's
+///     sim::RunContext (composing with simcheck's `--check` via the
+///     World's observer fan-out), every World of the run owns a profiler,
+///     and the collector's `drain_report()` / `drain_trace()` return the
+///     merged report and the retained representative timeline.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,7 +41,13 @@
 #include "simprof/critical_path.hpp"
 #include "simprof/recorder.hpp"
 
+namespace columbia::sim {
+struct RunContext;
+}  // namespace columbia::sim
+
 namespace columbia::simprof {
+
+class ProfileCollector;
 
 struct ProfileOptions {
   /// Keep a representative world's full span timeline + comm matrix for
@@ -48,7 +56,7 @@ struct ProfileOptions {
   bool retain_timeline = true;
   std::size_t max_spans = TraceRecorder::kDefaultMaxSpans;
   std::size_t max_ops = std::size_t{1} << 20;
-  /// Per-world profiles kept in the global report; beyond it only the
+  /// Per-world profiles kept in a collector's report; beyond it only the
   /// aggregate stats accumulate (worlds_dropped counts them).
   std::size_t max_worlds = 512;
 };
@@ -144,9 +152,9 @@ class Profiler final : public simmpi::CommObserver {
   /// The roll-up; valid once the attached world's run drained normally.
   const WorldProfile& profile() const { return profile_; }
 
-  /// When set, the profile is appended to the process-global collector at
-  /// finalize (used by the global --profile factory).
-  void set_publish_globally(bool publish) { publish_globally_ = publish; }
+  /// When set, the profile is merged into `collector` at finalize (used
+  /// by ProfileCollector's factory).
+  void set_collector(ProfileCollector* collector) { collector_ = collector; }
 
   // --- CommObserver ------------------------------------------------------
   void on_send_posted(std::uint64_t id, int rank, int dst, int tag,
@@ -172,7 +180,7 @@ class Profiler final : public simmpi::CommObserver {
   sim::Engine* engine_ = nullptr;
   double t_start_ = 0.0;
   bool finalized_ = false;
-  bool publish_globally_ = false;
+  ProfileCollector* collector_ = nullptr;
   TraceRecorder recorder_;
   CommMatrix matrix_;
   std::unordered_map<std::uint64_t, OpSample> ops_;
@@ -182,45 +190,35 @@ class Profiler final : public simmpi::CommObserver {
   WorldProfile profile_;
 };
 
-// --- Global opt-in (`--profile`) --------------------------------------------
+// --- Per-run opt-in (`--profile`) -------------------------------------------
 
-/// Installs the World observer factory and an OpenMP region counter: every
-/// World constructed afterwards is profiled, and all results flow into one
-/// process-global report. Resets any previously drained state. Composes
-/// with simcheck's enable_global_check (both factories' products receive
-/// events through the World's observer fan-out).
-///
-/// Deprecated as a raw pair since the simserve API redesign: new code
-/// holds a ScopedGlobalProfile (or goes through core::Evaluator, which
-/// does) so no exit path can leak the factory.
-[[deprecated("hold a simprof::ScopedGlobalProfile instead")]]
-void enable_global_profile(ProfileOptions opts = {});
-[[deprecated("hold a simprof::ScopedGlobalProfile instead")]]
-void disable_global_profile();
-bool global_profile_enabled();
+/// Registers a World observer factory and an OpenMP region counter into a
+/// run context: every World of that run is profiled, and all results flow
+/// into this collector's report. Composes with simcheck's CheckCollector
+/// (both factories' products receive events through the World's observer
+/// fan-out).
+class ProfileCollector {
+ public:
+  explicit ProfileCollector(sim::RunContext& ctx, ProfileOptions opts = {});
+  ProfileCollector(const ProfileCollector&) = delete;
+  ProfileCollector& operator=(const ProfileCollector&) = delete;
 
-/// RAII enable/disable pair for tests and tools: profiling is on for
-/// exactly the guard's scope, so an early return or a failed ASSERT
-/// cannot leak the factory into the next test. Mirrors
-/// simcheck::ScopedGlobalCheck / simfault::ScopedGlobalFaults.
-struct ScopedGlobalProfile {
-  // The one sanctioned caller of the deprecated raw pair.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  explicit ScopedGlobalProfile(ProfileOptions opts = {}) {
-    enable_global_profile(opts);
-  }
-  ~ScopedGlobalProfile() { disable_global_profile(); }
-#pragma GCC diagnostic pop
-  ScopedGlobalProfile(const ScopedGlobalProfile&) = delete;
-  ScopedGlobalProfile& operator=(const ScopedGlobalProfile&) = delete;
+  /// Moves the accumulated report out (and clears it).
+  ProfileReport drain_report();
+  /// Moves the retained representative timeline out (and clears it).
+  /// `valid` is false when no world finished since the last drain or
+  /// retain_timeline was off.
+  TraceArtifacts drain_trace();
+
+  /// Merges one finalized world (Profiler::on_finalize).
+  void publish(const Profiler& profiler, const ProfileReport& local);
+
+ private:
+  ProfileOptions opts_;
+  std::mutex mutex_;
+  ProfileReport report_;  // guarded by mutex_
+  TraceArtifacts trace_;  // guarded by mutex_
+  std::atomic<std::uint64_t> regions_{0};
 };
-
-/// Moves the accumulated global report out (and clears it).
-ProfileReport drain_global_profile_report();
-/// Moves the retained representative timeline out (and clears it).
-/// `valid` is false when no world finished since the last drain or
-/// retain_timeline was off.
-TraceArtifacts drain_global_profile_trace();
 
 }  // namespace columbia::simprof

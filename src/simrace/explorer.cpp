@@ -65,46 +65,31 @@ class WorldPolicy final : public simmpi::MatchPolicy {
   int world_;
 };
 
-/// Installs the match-policy factory for one scenario invocation and
-/// guarantees removal even when the scenario throws (DeadlockError is an
-/// expected exit for infeasible schedules).
-struct ScopedMatchPolicyFactory {
-  explicit ScopedMatchPolicyFactory(const ForcingSchedule& schedule) {
-    auto run = std::make_shared<ForcedRun>();
-    run->schedule = schedule;
-    simmpi::set_world_match_policy_factory(
-        [run](simmpi::World&) -> std::shared_ptr<simmpi::MatchPolicy> {
-          const int world = run->next_world++;
-          // Worlds the schedule never touches get no policy at all, so
-          // they run the unmodified (and bookkeeping-free) match path.
-          if (!run->schedule.touches_world(world)) return nullptr;
-          return std::make_shared<WorldPolicy>(run, world);
-        });
-  }
-  ~ScopedMatchPolicyFactory() {
-    simmpi::set_world_match_policy_factory(nullptr);
-  }
-  ScopedMatchPolicyFactory(const ScopedMatchPolicyFactory&) = delete;
-  ScopedMatchPolicyFactory& operator=(const ScopedMatchPolicyFactory&) =
-      delete;
-};
-
 }  // namespace
 
-// simlint:seam(lock-discipline): the explorer replays scenarios one at a time on a single thread and owns the process's simulation globals for each scenario's duration; there is no concurrent evaluator to race with.
 RunOutcome run_under(const RaceScenario& scenario,
                      const ForcingSchedule& schedule) {
   RunOutcome out;
   {
-    ScopedMatchPolicyFactory forced(schedule);
-    simcheck::ScopedGlobalCheck check;
+    sim::RunContext ctx;
+    auto run = std::make_shared<ForcedRun>();
+    run->schedule = schedule;
+    ctx.match_policy_factory =
+        [run](simmpi::World&) -> std::shared_ptr<simmpi::MatchPolicy> {
+      const int world = run->next_world++;
+      // Worlds the schedule never touches get no policy at all, so they
+      // run the unmodified (and bookkeeping-free) match path.
+      if (!run->schedule.touches_world(world)) return nullptr;
+      return std::make_shared<WorldPolicy>(run, world);
+    };
+    simcheck::CheckCollector check(ctx);
     try {
-      out.bytes = scenario();
+      out.bytes = scenario(ctx);
     } catch (const sim::DeadlockError&) {
       out.deadlocked = true;
     }
-    out.check = simcheck::drain_global_check_report();
-    out.decisions = simcheck::drain_global_race_decisions();
+    out.check = check.drain();
+    out.decisions = check.drain_race_decisions();
   }
   out.fingerprint = fingerprint_of(out.bytes, out.check);
   return out;

@@ -29,23 +29,27 @@
 /// shift indices past the branch), which the report does not hide.
 ///
 /// Requirements on the scenario callable: it must construct its Worlds
-/// fresh on every invocation and run them *sequentially* — schedule keys
-/// include a World construction serial, which only sequential execution
-/// keeps stable.
+/// fresh on every invocation, inside the run context it is handed (an
+/// Engine built with it, or a sweep run with `Exec::sequential().in(ctx)`),
+/// and run them *sequentially* — schedule keys include a World
+/// construction serial, which only sequential execution keeps stable.
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
 #include "simrace/schedule.hpp"
 
 namespace columbia::simrace {
 
-/// Runs the program end to end and returns its result bytes (for registry
-/// experiments: Report::render()). Invoked once per explored execution.
-using RaceScenario = std::function<std::string()>;
+/// Runs the program end to end in `ctx` and returns its result bytes (for
+/// registry experiments: Report::render()). Invoked once per explored
+/// execution, each with a fresh context; the callable may set the
+/// context's transport before running.
+using RaceScenario = std::function<std::string(sim::RunContext& ctx)>;
 
 /// One forced (or free, for the empty schedule) execution.
 struct RunOutcome {
@@ -61,8 +65,8 @@ struct RunOutcome {
 };
 
 /// Executes the scenario once under `schedule` with candidate discovery
-/// attached (global check + match-policy factory installed for the call,
-/// restored after). This is also `simrace --replay`'s engine: byte-equal
+/// attached (a check collector and the match-policy factory in the run's
+/// own context). This is also `simrace --replay`'s engine: byte-equal
 /// `bytes` across calls with the same schedule is the determinism
 /// contract extended to forced runs.
 RunOutcome run_under(const RaceScenario& scenario,

@@ -132,14 +132,13 @@ int main(int argc, char** argv) {
   core::RunOptions opts;
   if (!parser.parse(argc, argv, opts)) return 2;
   if (opts.help) return 0;
+  machine::TransportModel tm;
   {
-    machine::TransportModel tm;
     std::string terr;
     if (!machine::parse_transport(opts.spec.transport, tm, terr)) {
       std::fprintf(stderr, "simrace: %s\n", terr.c_str());
       return 2;
     }
-    machine::set_global_transport(tm);
   }
 
   if (opts.list) {
@@ -184,8 +183,11 @@ int main(int argc, char** argv) {
 
   // Exploration keys schedules by World construction order, so scenarios
   // always run sequentially here regardless of --parallel.
-  auto scenario_of = [](const Experiment* exp) -> simrace::RaceScenario {
-    return [exp] { return exp->run_exec(Exec::sequential()).render(); };
+  auto scenario_of = [tm](const Experiment* exp) -> simrace::RaceScenario {
+    return [exp, tm](sim::RunContext& ctx) {
+      ctx.transport = tm;
+      return exp->run_exec(Exec::sequential().in(ctx)).render();
+    };
   };
 
   if (!opts.replay.empty()) {

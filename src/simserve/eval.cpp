@@ -4,6 +4,7 @@
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
+#include "machine/transport.hpp"
 #include "simrace/explorer.hpp"
 
 namespace columbia::simserve {
@@ -25,21 +26,22 @@ EvalFn registry_eval() {
     if (!out.ok || !spec.race_explore) return out;
 
     // race_explore rides in the spec hash but core cannot run it (simrace
-    // sits above core); this is the layer that can. Exploration replays
-    // the experiment with forced wildcard matchings — process-global
-    // seams again, hence the Evaluator's exclusive lock.
+    // sits above core); this is the layer that can. Every replay runs in
+    // its own context under the spec's transport.
     const auto* exp = core::find_experiment(spec.experiment);
-    core::Evaluator::with_exclusive_globals([&] {
-      simrace::ExploreOptions ropts;
-      ropts.max_execs = spec.max_execs;
-      const auto result = simrace::explore(
-          [exp] {
-            return exp->run_exec(core::Exec::sequential()).render();
-          },
-          ropts);
-      out.races = static_cast<int>(result.divergences.size());
-      out.race_summary = result.render(spec.experiment);
-    });
+    machine::TransportModel tm{};
+    std::string terr;
+    (void)machine::parse_transport(spec.transport, tm, terr);  // ok above
+    simrace::ExploreOptions ropts;
+    ropts.max_execs = spec.max_execs;
+    const auto result = simrace::explore(
+        [exp, tm](sim::RunContext& ctx) {
+          ctx.transport = tm;
+          return exp->run_exec(core::Exec::sequential().in(ctx)).render();
+        },
+        ropts);
+    out.races = static_cast<int>(result.divergences.size());
+    out.race_summary = result.render(spec.experiment);
     return out;
   };
 }

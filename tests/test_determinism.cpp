@@ -7,7 +7,10 @@
 // traces, gantt/comm CSVs, and the fault counters.
 //
 // This is the determinism contract stated in DESIGN.md made executable:
-// a run is a pure function of (spec, seed). A deterministic *failure* is
+// a run is a pure function of (spec, seed). The two passes run at the
+// same time on two host threads, each experiment in a run context of its
+// own, so any state leaking between runs would show up as differing
+// bytes. A deterministic *failure* is
 // still deterministic — exceptions are folded into the golden string
 // rather than aborting the pass, so both passes must throw identically
 // or not at all.
@@ -30,14 +33,16 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/spec.hpp"
 #include "machine/transport.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
+#include "simfault/collector.hpp"
 #include "simprof/profiler.hpp"
 
 namespace columbia {
@@ -50,30 +55,30 @@ struct Pass {
   std::vector<std::pair<std::string, std::uint64_t>> fingerprints;
 };
 
-/// One full registry sweep with check + profile + faults enabled.
-Pass golden_pass() {
+/// One full registry sweep under `transport` with check + profile +
+/// faults enabled, each experiment in a run context of its own.
+Pass golden_pass(machine::TransportModel transport) {
   Pass pass;
-  const auto exec = core::Exec::sequential();
-  simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(42, 0.25));
   for (const auto& exp : core::experiment_registry()) {
     std::ostringstream os;
     os << "==== " << exp.id << " ====\n";
-    // Per-experiment guards: enable registers a fresh observer factory
-    // each call — without the paired disable at scope exit, every World
-    // would grow one checker per experiment.
-    simcheck::ScopedGlobalCheck check_on;
-    simprof::ScopedGlobalProfile profile_on;
+    sim::RunContext ctx;
+    ctx.transport = transport;
+    simcheck::CheckCollector check_on(ctx);
+    simprof::ProfileCollector profile_on(ctx);
+    simfault::FaultCollector faults(ctx,
+                                    simfault::FaultSpec::uniform(42, 0.25));
     try {
-      os << exp.run_exec(exec).render();
+      os << exp.run_exec(core::Exec::sequential().in(ctx)).render();
     } catch (const std::exception& e) {
       os << "exception: " << e.what() << "\n";
     } catch (...) {
       os << "exception: (non-standard)\n";
     }
-    const simprof::ProfileReport prof = simprof::drain_global_profile_report();
-    const simprof::TraceArtifacts trace = simprof::drain_global_profile_trace();
-    const simcheck::CheckReport check = simcheck::drain_global_check_report();
-    const simfault::FaultStats stats = simfault::drain_global_fault_stats();
+    const simprof::ProfileReport prof = profile_on.drain_report();
+    const simprof::TraceArtifacts trace = profile_on.drain_trace();
+    const simcheck::CheckReport check = check_on.drain();
+    const simfault::FaultStats stats = faults.drain();
 
     os << check.render() << check.to_json() << prof.render() << prof.to_json();
     if (trace.valid) {
@@ -87,6 +92,15 @@ Pass golden_pass() {
     pass.bytes += block;
   }
   return pass;
+}
+
+/// Both passes of one mode at once, on two host threads.
+std::pair<Pass, Pass> concurrent_passes(machine::TransportModel transport) {
+  Pass second;
+  std::thread other([&second, transport] { second = golden_pass(transport); });
+  Pass first = golden_pass(transport);
+  other.join();
+  return {std::move(first), std::move(second)};
 }
 
 /// Context around the first differing byte — EXPECT_EQ on multi-megabyte
@@ -164,8 +178,8 @@ void check_fingerprints(const std::string& mode, const Pass& pass) {
 }
 
 TEST(GoldenDeterminism, RegistryWithCheckProfileFaultsIsByteIdentical) {
-  const Pass pass1 = golden_pass();
-  const Pass pass2 = golden_pass();
+  const auto [pass1, pass2] =
+      concurrent_passes(machine::TransportModel::Event);
   ASSERT_FALSE(pass1.bytes.empty());
   EXPECT_TRUE(pass1.bytes == pass2.bytes)
       << first_divergence(pass1.bytes, pass2.bytes);
@@ -174,35 +188,32 @@ TEST(GoldenDeterminism, RegistryWithCheckProfileFaultsIsByteIdentical) {
 
 TEST(GoldenDeterminism, IoExperimentsSeqVsParallelAreByteIdentical) {
   // The storage experiments tear filesystems down on pool threads (the
-  // global I/O stats publish path) and the NFS scenarios drive Network
+  // per-run I/O stats publish path) and the NFS scenarios drive Network
   // transfers from scenario closures — exactly the places where a
   // parallel sweep could diverge from the sequential baseline. Each also
   // regenerates under check + profile + faults like the full gate.
-  simfault::ScopedGlobalFaults faults(simfault::FaultSpec::uniform(42, 0.25));
   for (const std::string id :
        {"ext-io", "ext-checkpoint", "ext-btio", "ext-io-overlap"}) {
     const auto* exp = core::find_experiment(id);
     ASSERT_NE(exp, nullptr) << id;
-    simcheck::ScopedGlobalCheck check_on;
-    simprof::ScopedGlobalProfile profile_on;
-    const std::string seq = exp->run_exec(core::Exec::sequential()).render();
-    const std::string par = exp->run_exec(core::Exec::parallel()).render();
-    // Drain so the per-experiment collectors cannot leak across ids.
-    (void)simprof::drain_global_profile_report();
-    (void)simprof::drain_global_profile_trace();
-    (void)simcheck::drain_global_check_report();
+    sim::RunContext ctx;
+    simcheck::CheckCollector check_on(ctx);
+    simprof::ProfileCollector profile_on(ctx);
+    simfault::FaultCollector faults(ctx,
+                                    simfault::FaultSpec::uniform(42, 0.25));
+    const std::string seq =
+        exp->run_exec(core::Exec::sequential().in(ctx)).render();
+    const std::string par =
+        exp->run_exec(core::Exec::parallel().in(ctx)).render();
     EXPECT_TRUE(seq == par) << id << "\n" << first_divergence(seq, par);
   }
-  (void)simfault::drain_global_fault_stats();
 }
 
 TEST(GoldenDeterminism, RegistryUnderFlowTransportIsByteIdentical) {
-  // The same contract with the fluid network backend selected process-wide
-  // (what `--transport flow` does): every experiment, still under
+  // The same contract with the fluid network backend selected for every
+  // run (what `--transport flow` does): every experiment, still under
   // check + profile + faults, must regenerate byte-identically.
-  machine::ScopedTransport pin(machine::TransportModel::Flow);
-  const Pass pass1 = golden_pass();
-  const Pass pass2 = golden_pass();
+  const auto [pass1, pass2] = concurrent_passes(machine::TransportModel::Flow);
   ASSERT_FALSE(pass1.bytes.empty());
   EXPECT_TRUE(pass1.bytes == pass2.bytes)
       << first_divergence(pass1.bytes, pass2.bytes);

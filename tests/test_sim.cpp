@@ -368,8 +368,8 @@ TEST(Engine, ManyShortLivedTasksReapPromptly) {
 }
 
 TEST(Engine, EventAccountingTracksRuns) {
-  const std::uint64_t global_before = total_events_processed();
-  Engine eng;
+  RunContext ctx;
+  Engine eng(&ctx);
   std::vector<double> log;
   eng.spawn(delayer(eng, log, 1.0));
   eng.spawn(delayer(eng, log, 2.0));
@@ -377,8 +377,21 @@ TEST(Engine, EventAccountingTracksRuns) {
   EXPECT_GE(eng.events_processed(), 2u);
   EXPECT_GE(eng.run_wall_seconds(), 0.0);
   EXPECT_GE(eng.events_per_second(), 0.0);
-  // The process-wide counter accumulates every engine's events.
-  EXPECT_GE(total_events_processed() - global_before, eng.events_processed());
+  // The run's counter holds exactly its engines' events.
+  EXPECT_EQ(ctx.events.load(), eng.events_processed());
+}
+
+TEST(Engine, CapturesTheCurrentRunContext) {
+  RunContext ctx;
+  {
+    const CurrentRunContext current(&ctx);
+    EXPECT_EQ(current_run_context(), &ctx);
+    Engine inside;
+    EXPECT_EQ(inside.context(), &ctx);
+  }
+  EXPECT_EQ(current_run_context(), nullptr);
+  Engine outside;
+  EXPECT_EQ(outside.context(), nullptr);
 }
 
 }  // namespace

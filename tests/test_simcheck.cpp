@@ -279,19 +279,23 @@ TEST(Region, NonFiniteAndNegativeDemandFlagged) {
   EXPECT_TRUE(out2.clean());
 }
 
-TEST(Region, GlobalCheckSeesRegionEvaluations) {
-  const ScopedGlobalCheck check_on;
+TEST(Region, RunCheckSeesRegionEvaluations) {
+  sim::RunContext ctx;
+  CheckCollector check_on(ctx);
   simomp::OmpModel model(machine::NodeSpec::bx2b());
   simomp::RegionSpec bad;
   bad.total.flops = std::nan("");
   bad.total.mem_bytes = 1e9;
   // The observer runs before argument validation, so the diagnostic lands
   // even though the model's own contract then rejects the NaN.
-  EXPECT_THROW(
-      (void)model.region_time(bad, 4, simomp::Pinning::Pinned,
-                              perfmodel::KernelClass::StreamCopy),
-      ContractError);
-  CheckReport rep = drain_global_check_report();
+  {
+    const sim::CurrentRunContext current(&ctx);
+    EXPECT_THROW(
+        (void)model.region_time(bad, 4, simomp::Pinning::Pinned,
+                                perfmodel::KernelClass::StreamCopy),
+        ContractError);
+  }
+  CheckReport rep = check_on.drain();
   EXPECT_GE(rep.stats.regions, 1u);
   EXPECT_EQ(rep.count(DiagKind::InvalidRegion), 1u) << rep.render();
 }
@@ -374,10 +378,10 @@ TEST(Registry, AllExperimentsCheckCleanWithByteIdenticalReports) {
   for (const auto& exp : core::experiment_registry()) {
     const std::string plain = exp.run_exec(exec).render();
 
-    // Scoped so a failed EXPECT cannot leak the factory into later tests.
-    const ScopedGlobalCheck check_on;
-    const std::string checked = exp.run_exec(exec).render();
-    CheckReport rep = drain_global_check_report();
+    sim::RunContext ctx;
+    CheckCollector check_on(ctx);
+    const std::string checked = exp.run_exec(exec.in(ctx)).render();
+    CheckReport rep = check_on.drain();
 
     EXPECT_TRUE(rep.clean()) << exp.id << ":\n" << rep.render();
     EXPECT_EQ(plain, checked) << exp.id << ": checked run altered output";

@@ -20,7 +20,7 @@
 #include "simfault/schedule.hpp"
 #include "simio/disk.hpp"
 #include "simio/filesystem.hpp"
-#include "simio/global.hpp"
+#include "simio/io_stats.hpp"
 #include "simio/workload.hpp"
 #include "simmpi/world.hpp"
 
@@ -433,29 +433,27 @@ TEST(RankIo, NfsChunksRideTheFabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Global stats collector
+// Per-run stats collector
 
-TEST(GlobalStats, CollectsAcrossFilesystemLifetimes) {
-  drain_global_io_stats();  // isolate from any earlier armed state
+TEST(IoCollector, CollectsAcrossFilesystemLifetimes) {
+  sim::RunContext ctx;
+  IoCollector collector(ctx);
   {
-    ScopedGlobalIoStats scope;
-    EXPECT_TRUE(global_io_stats_enabled());
+    const sim::CurrentRunContext current(&ctx);
     (void)simulated_write_time(FilesystemSpec::shared_parallel(), 4, 1e7);
     (void)simulated_read_time(FilesystemSpec::nfs_over_gige(), 2, 1e6);
-    const IoStats stats = drain_global_io_stats();
-    EXPECT_EQ(stats.filesystems, 2u);
-    EXPECT_EQ(stats.opens, 6u);
-    EXPECT_EQ(stats.writes, 4u);
-    EXPECT_EQ(stats.reads, 2u);
-    EXPECT_GT(stats.chunks, 0u);
-    EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_written), 4e7);
-    EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_read), 2e6);
   }
-  EXPECT_FALSE(global_io_stats_enabled());
-  // Disarmed: new filesystems no longer publish.
+  const IoStats stats = collector.drain();
+  EXPECT_EQ(stats.filesystems, 2u);
+  EXPECT_EQ(stats.opens, 6u);
+  EXPECT_EQ(stats.writes, 4u);
+  EXPECT_EQ(stats.reads, 2u);
+  EXPECT_GT(stats.chunks, 0u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_written), 4e7);
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_read), 2e6);
+  // Outside the run, new filesystems do not publish.
   (void)simulated_write_time(FilesystemSpec::shared_parallel(), 1, 1e6);
-  const IoStats after = drain_global_io_stats();
-  EXPECT_EQ(after.filesystems, 0u);
+  EXPECT_EQ(collector.drain().filesystems, 0u);
 }
 
 }  // namespace

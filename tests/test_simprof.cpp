@@ -336,7 +336,6 @@ TEST(Profiler, IoSpansFillIoSecondsAndTheCriticalPath) {
 TEST(Profiler, ReportRenderAndJsonCarryTheRollup) {
   Rig rig(2);
   Profiler prof;
-  prof.set_publish_globally(false);
   prof.attach(rig.world);
   rig.world.run([](Rank& r) -> sim::CoTask<void> {
     co_await r.compute(0.5);
@@ -353,17 +352,19 @@ TEST(Profiler, ReportRenderAndJsonCarryTheRollup) {
   EXPECT_NE(json.find("\"comm_fraction\""), std::string::npos);
 }
 
-// --- Global profile + composition with simcheck -----------------------------
+// --- Per-run profile + composition with simcheck ----------------------------
 
-TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
+TEST(Collector, ProfileAndCheckComposeThroughObserverFanout) {
   simcheck::CheckReport check;
   ProfileReport profile;
   TraceArtifacts trace;
   double makespan = 0.0;
   {
-    const ScopedGlobalProfile profile_on;
-    const simcheck::ScopedGlobalCheck check_on;
+    sim::RunContext ctx;
+    ProfileCollector profile_on(ctx);
+    simcheck::CheckCollector check_on(ctx);
     {
+      const sim::CurrentRunContext current(&ctx);
       Rig rig(4);
       makespan = rig.world.run([](Rank& r) -> sim::CoTask<void> {
         co_await r.compute(1e-3 * (r.rank() + 1));
@@ -372,11 +373,10 @@ TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
         co_await r.sendrecv(peer, 1e5, peer, 5);
       });
     }
-    check = simcheck::drain_global_check_report();
-    profile = drain_global_profile_report();
-    trace = drain_global_profile_trace();
+    check = check_on.drain();
+    profile = profile_on.drain_report();
+    trace = profile_on.drain_trace();
   }
-  EXPECT_FALSE(global_profile_enabled());
 
   EXPECT_TRUE(check.clean()) << check.render();
   EXPECT_GT(check.stats.p2p_ops, 0u);
@@ -394,28 +394,28 @@ TEST(Global, ProfileAndCheckComposeThroughObserverFanout) {
             std::string::npos);
 }
 
-TEST(Global, DrainedTwiceIsEmptyAndDisableDetaches) {
+TEST(Collector, DrainedTwiceIsEmptyAndOtherRunsAreNotProfiled) {
+  sim::RunContext ctx;
+  ProfileCollector collector(ctx);
   {
-    ScopedGlobalProfile scoped;
-    {
-      Rig rig(2);
-      rig.world.run([](Rank& r) -> sim::CoTask<void> {
-        co_await r.allreduce(128.0);
-      });
-    }
-    ProfileReport first = drain_global_profile_report();
-    EXPECT_EQ(first.worlds.size(), 1u);
-    ProfileReport second = drain_global_profile_report();
-    EXPECT_EQ(second.worlds.size(), 0u);
+    const sim::CurrentRunContext current(&ctx);
+    Rig rig(2);
+    rig.world.run([](Rank& r) -> sim::CoTask<void> {
+      co_await r.allreduce(128.0);
+    });
   }
-  // Worlds constructed after the guard disarms are not profiled.
+  ProfileReport first = collector.drain_report();
+  EXPECT_EQ(first.worlds.size(), 1u);
+  ProfileReport second = collector.drain_report();
+  EXPECT_EQ(second.worlds.size(), 0u);
+  // Worlds built outside the collector's run are not profiled.
   {
     Rig rig(2);
     rig.world.run([](Rank& r) -> sim::CoTask<void> {
       co_await r.allreduce(128.0);
     });
   }
-  ProfileReport after = drain_global_profile_report();
+  ProfileReport after = collector.drain_report();
   EXPECT_EQ(after.worlds.size(), 0u);
   EXPECT_EQ(after.stats.worlds, 0u);
 }

@@ -44,8 +44,10 @@ struct Rig {
   Network network;
   World world;
 
-  explicit Rig(int nranks, Cluster c = Cluster::single(NodeType::AltixBX2b))
-      : cluster(std::move(c)),
+  Rig(sim::RunContext& ctx, int nranks,
+      Cluster c = Cluster::single(NodeType::AltixBX2b))
+      : engine(&ctx),
+        cluster(std::move(c)),
         network(engine, cluster),
         world(engine, network, Placement::dense(cluster, nranks)) {}
 };
@@ -53,8 +55,8 @@ struct Rig {
 /// Ranks 1 and 2 race one message each into rank 0's two wildcard
 /// receives; the rendered result encodes which arrived first. This is the
 /// seeded order-dependence simrace exists to catch.
-std::string order_dependent_scenario() {
-  Rig rig(3);
+std::string order_dependent_scenario(sim::RunContext& ctx) {
+  Rig rig(ctx, 3);
   std::ostringstream os;
   rig.world.run([&](Rank& r) -> sim::CoTask<void> {
     if (r.rank() == 0) {
@@ -70,8 +72,8 @@ std::string order_dependent_scenario() {
 
 /// Same wildcard nondeterminism, order-insensitive consumption: the sum
 /// of the received sources is the same under every admissible matching.
-std::string order_independent_scenario() {
-  Rig rig(3);
+std::string order_independent_scenario(sim::RunContext& ctx) {
+  Rig rig(ctx, 3);
   std::ostringstream os;
   rig.world.run([&](Rank& r) -> sim::CoTask<void> {
     if (r.rank() == 0) {
@@ -188,8 +190,8 @@ TEST(Registry, PaperArtifactsExploreCleanUnderWildcardForcing) {
   for (const char* id : {"table1", "ext-shmem", "table2"}) {
     const auto* exp = core::find_experiment(id);
     ASSERT_NE(exp, nullptr) << id;
-    const auto scenario = [exp] {
-      return exp->run_exec(core::Exec::sequential()).render();
+    const auto scenario = [exp](sim::RunContext& ctx) {
+      return exp->run_exec(core::Exec::sequential().in(ctx)).render();
     };
     ExploreOptions opts;
     opts.max_execs = 8;

@@ -8,16 +8,18 @@
 //    with the CLI parser (one schema, two front ends).
 //  * core::Evaluator — result bytes are byte-identical to what
 //    run_experiment composes for the same spec, including under
-//    check+profile+faults (registry builds only).
+//    check+profile+faults, and overlapping evaluations reproduce their
+//    solo runs (registry builds only).
 //  * simserve::Service — cache hits, in-flight coalescing, and a
 //    thousand-plus concurrent requests against a gated stub evaluator.
 //  * protocol/serve_stream/TcpServer — request parsing, streamed
 //    status→result responses, pipe mode, and a TCP smoke test.
 //
 // COLUMBIA_SIMSERVE_NO_REGISTRY compiles out the registry-backed suites:
-// the ASAN/TSAN variants build only the service/protocol machinery (with
-// stub evaluators) plus spec/run_options, so the concurrency layers run
-// instrumented without paying for registry regenerations.
+// the ASAN variant builds only the service/protocol machinery (with stub
+// evaluators) plus spec/run_options. The TSAN variant keeps them, linked
+// against an instrumented build of every library, so overlapping
+// evaluations get a data-race pass.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +44,9 @@
 
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
-#include "machine/transport.hpp"
+#include "sim/run_context.hpp"
 #include "simcheck/checker.hpp"
-#include "simfault/global.hpp"
+#include "simfault/collector.hpp"
 #include "simprof/profiler.hpp"
 #include "simserve/eval.hpp"
 #else
@@ -584,38 +586,46 @@ TEST(Evaluator, PlainSpecMatchesRunExperimentBytes) {
   EXPECT_EQ(result.spec_hash, spec.hash());
 }
 
-// The acceptance criterion spec: byte-identity must hold with analyzers
-// armed too — same report bytes, same check verdicts, same fault
-// counters as a manual Scoped*-guarded run of the same experiment.
-TEST(Evaluator, CheckProfileFaultsSpecMatchesGuardedRunBytes) {
+/// A check+profile+faults spec for `id` under `transport`.
+ScenarioSpec analyzed_spec(const std::string& id, const std::string& transport,
+                           std::uint64_t fault_seed) {
   ScenarioSpec spec;
-  spec.experiment = "table2";
+  spec.experiment = id;
+  spec.transport = transport;
   spec.check = true;
   spec.profile = true;
   spec.faults = true;
-  spec.fault_seed = 7;
+  spec.fault_seed = fault_seed;
   spec.fault_intensity = 0.3;
+  return spec;
+}
+
+// The acceptance criterion spec: byte-identity must hold with analyzers
+// armed too — same report bytes, same analyzer artifacts, same fault
+// counters and events as a run of the same experiment in a hand-built
+// run context holding the same collectors.
+TEST(Evaluator, CheckProfileFaultsSpecMatchesCollectedRunBytes) {
+  const ScenarioSpec spec = analyzed_spec("table2", "event", 7);
   const core::EvalResult result = core::Evaluator().evaluate(spec);
   ASSERT_TRUE(result.ok) << result.error;
 
   const auto* exp = core::find_experiment("table2");
   ASSERT_NE(exp, nullptr);
-  std::string expected_report;
-  std::string expected_check_json;
-  simfault::FaultStats expected_stats;
-  {
-    simcheck::ScopedGlobalCheck check;
-    simprof::ScopedGlobalProfile profile;
-    simfault::ScopedGlobalFaults faults(
-        simfault::FaultSpec::uniform(spec.fault_seed, spec.fault_intensity));
-    expected_report =
-        composed_bytes(*exp, exp->run_exec(core::Exec::sequential()));
-    expected_check_json = simcheck::drain_global_check_report().to_json();
-    simprof::drain_global_profile_report();
-    expected_stats = simfault::drain_global_fault_stats();
-  }
+  sim::RunContext ctx;
+  simcheck::CheckCollector check(ctx);
+  simprof::ProfileOptions popts;
+  popts.retain_timeline = false;
+  simprof::ProfileCollector profile(ctx, popts);
+  simfault::FaultCollector faults(
+      ctx, simfault::FaultSpec::uniform(spec.fault_seed, spec.fault_intensity));
+  const std::string expected_report = composed_bytes(
+      *exp, exp->run_exec(core::Exec::sequential().in(ctx)));
+  const simfault::FaultStats expected_stats = faults.drain();
+
   EXPECT_EQ(result.report, expected_report);
-  EXPECT_EQ(result.check_json, expected_check_json);
+  EXPECT_EQ(result.check_json, check.drain().to_json());
+  EXPECT_EQ(result.profile_json, profile.drain_report().to_json());
+  EXPECT_EQ(result.events, ctx.events.load());
   EXPECT_EQ(result.fault_stats.worlds, expected_stats.worlds);
   EXPECT_EQ(result.fault_stats.messages_dropped,
             expected_stats.messages_dropped);
@@ -631,21 +641,45 @@ TEST(Evaluator, ErrorsAreValuesNotExceptions) {
   EXPECT_NE(result.error.find("unknown experiment id"), std::string::npos);
 }
 
-// Evaluation leaves no process-global state armed, whatever the spec.
-TEST(Evaluator, NoGlobalStateLeaks) {
-  ScenarioSpec spec;
-  spec.experiment = "table2";
-  spec.check = true;
-  spec.profile = true;
-  spec.faults = true;
-  spec.fault_seed = 1;
-  spec.fault_intensity = 0.1;
-  spec.transport = "flow";
-  ASSERT_TRUE(core::Evaluator().evaluate(spec).ok);
-  EXPECT_FALSE(simcheck::global_check_enabled());
-  EXPECT_FALSE(simprof::global_profile_enabled());
-  EXPECT_FALSE(simfault::global_faults_enabled());
-  EXPECT_EQ(machine::global_transport(), machine::TransportModel::Event);
+// Every evaluation owns its run context, so two overlapping evaluations
+// of different analyzed specs — one per transport — each reproduce their
+// solo run exactly: report, analyzer artifacts, fault counters, events.
+TEST(Evaluator, ConcurrentEvaluationsMatchSoloRuns) {
+  const ScenarioSpec specs[2] = {analyzed_spec("table2", "event", 7),
+                                 analyzed_spec("sec42", "flow", 3)};
+  const core::Evaluator evaluator;
+  core::EvalResult solo[2];
+  for (int i = 0; i < 2; ++i) {
+    solo[i] = evaluator.evaluate(specs[i]);
+    ASSERT_TRUE(solo[i].ok) << solo[i].error;
+  }
+  constexpr int kRounds = 3;
+  std::vector<core::EvalResult> got[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < kRounds; ++round) {
+        got[i].push_back(evaluator.evaluate(specs[i]));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(got[i].size(), static_cast<std::size_t>(kRounds));
+    for (const core::EvalResult& r : got[i]) {
+      const std::string& id = specs[i].experiment;
+      ASSERT_TRUE(r.ok) << id << ": " << r.error;
+      EXPECT_EQ(r.report, solo[i].report) << id;
+      EXPECT_EQ(r.check_json, solo[i].check_json) << id;
+      EXPECT_EQ(r.profile_json, solo[i].profile_json) << id;
+      EXPECT_EQ(r.events, solo[i].events) << id;
+      EXPECT_EQ(r.fault_stats.worlds, solo[i].fault_stats.worlds) << id;
+      EXPECT_EQ(r.fault_stats.messages_dropped,
+                solo[i].fault_stats.messages_dropped)
+          << id;
+      EXPECT_EQ(r.fault_stats.retries, solo[i].fault_stats.retries) << id;
+    }
+  }
 }
 
 // --- Registry-backed service ------------------------------------------------

@@ -34,8 +34,8 @@
 namespace columbia::machine {
 namespace {
 
-// Scope-pinning the process-wide transport uses machine::ScopedTransport
-// (transport.hpp) — the same guard the comparison tools use.
+// A run selects its transport in its sim::RunContext; Networks built
+// without an explicit backend follow their Engine's context.
 
 TEST(Transport, ParseAndRoundTrip) {
   TransportModel m = TransportModel::Event;
@@ -183,12 +183,16 @@ TEST(Network, SeamSelectsTheRequestedBackend) {
   EXPECT_GT(fl.flow_solver()->num_links(), 0u);
 }
 
-TEST(Network, CtorDefaultFollowsGlobalTransport) {
-  ScopedTransport pin(TransportModel::Flow);
-  sim::Engine eng;
+TEST(Network, CtorDefaultFollowsTheRunTransport) {
+  sim::RunContext ctx;
+  ctx.transport = TransportModel::Flow;
+  sim::Engine eng(&ctx);
   auto c = Cluster::single(NodeType::Altix3700);
   Network net(eng, c);
   EXPECT_NE(net.flow_solver(), nullptr);
+  sim::Engine outside;
+  Network clean(outside, c);
+  EXPECT_EQ(clean.flow_solver(), nullptr) << "no run: event transport";
 }
 
 #ifndef COLUMBIA_TRANSPORT_NO_REGISTRY
@@ -212,10 +216,11 @@ std::vector<double> numeric_tokens(const std::string& s) {
 }
 
 std::string render_under(const std::string& id, TransportModel m) {
-  ScopedTransport pin(m);
+  sim::RunContext ctx;
+  ctx.transport = m;
   const auto* exp = core::find_experiment(id);
   EXPECT_NE(exp, nullptr) << id;
-  return exp->run_exec(core::Exec::sequential()).render();
+  return exp->run_exec(core::Exec::sequential().in(ctx)).render();
 }
 
 /// The documented flow-vs-event tolerance: the fluid model matches the
