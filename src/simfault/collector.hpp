@@ -28,8 +28,6 @@ class FaultCollector {
   FaultCollector(const FaultCollector&) = delete;
   FaultCollector& operator=(const FaultCollector&) = delete;
 
-  const FaultSpec& spec() const { return spec_; }
-
   /// Merges one model's counters (called from ScheduledFaultModel's
   /// destructor).
   void publish(const FaultStats& stats);
